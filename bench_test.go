@@ -578,18 +578,18 @@ func BenchmarkClusterDESLearn16Nodes(b *testing.B) {
 
 // BenchmarkClusterDES256Nodes runs the request-level cluster DES over
 // a 256-node Web-Search fleet at 30% load with work stealing for 60
-// simulated seconds. 30% is typical datacenter utilisation and the
-// regime where the serial event loop scales worst: most completions
-// leave a node idle, and every idle node triggers an O(fleet) steal
-// scan on top of the per-arrival routing-share walk. The sharded
-// variant partitions the roster into 8 routing domains that exchange
-// cross-domain effects only at interval boundaries, shrinking both
-// scans to one domain each; results stay a pure function of
-// (seed, domain count), so the speedup is purely algorithmic on a
-// single core, and on multi-core hosts the domains additionally step
-// in parallel on the worker pool. Sub-benchmark names are
-// machine-independent ("serial", "domains=8") because the CI
-// regression gate matches them against the committed baseline.
+// simulated seconds. 30% is typical datacenter utilisation: most
+// completions leave a node idle, so every idle node looks for a steal
+// victim on top of the per-arrival routing draw — both O(log N) queries
+// of the event loop (a steal-tree range maximum and a prefix-sum binary
+// search), which this benchmark keeps from sliding back to roster
+// scans. The sharded variant partitions the roster into 8 routing
+// domains that exchange cross-domain effects only at interval
+// boundaries; results stay a pure function of (seed, domain count), and
+// on multi-core hosts the domains step in parallel on the worker pool.
+// Sub-benchmark names are machine-independent ("serial", "domains=8")
+// because the CI regression gate matches them against the committed
+// baseline.
 func BenchmarkClusterDES256Nodes(b *testing.B) {
 	spec := platform.JunoR1()
 	for _, bc := range []struct {
@@ -627,6 +627,42 @@ func BenchmarkClusterDES256Nodes(b *testing.B) {
 			b.ReportMetric(p99*1000, "p99-ms")
 		})
 	}
+}
+
+// BenchmarkClusterDES4096Nodes runs the serial cluster DES over a
+// 4096-node Web-Search fleet at 30% load with work stealing for 8
+// simulated seconds, and reports the host time per simulated request
+// (set-up included). Against BenchmarkClusterDES256Nodes it shows how
+// the cost per request grows with the roster: the event loop's routing
+// and stealing are O(log N), so what growth remains is mostly the O(N)
+// boundary work per interval (node summaries, the routing refresh).
+func BenchmarkClusterDES4096Nodes(b *testing.B) {
+	spec := platform.JunoR1()
+	b.Run("serial", func(b *testing.B) {
+		requests := 0
+		for i := 0; i < b.N; i++ {
+			nodes, err := hipster.UniformClusterDESNodes(4096, spec, hipster.WebSearch())
+			if err != nil {
+				b.Fatal(err)
+			}
+			fl, err := hipster.NewClusterDES(hipster.ClusterDESOptions{
+				Nodes:      nodes,
+				Pattern:    hipster.ConstantLoad{Frac: 0.3},
+				Mitigation: hipster.NewWorkStealingMitigation(),
+				Workers:    1,
+				Seed:       42,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := fl.Run(8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			requests += res.Stats.Requests
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(requests), "ns/req")
+	})
 }
 
 // BenchmarkClusterAutoscale steps a federated 16-node HipsterIn roster

@@ -41,6 +41,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -500,9 +501,11 @@ type loop struct {
 
 	lambda      float64
 	nextArrival float64
-	tickEnd     float64 // end of the current interval
-	shares      []float64
+	tickEnd     float64   // end of the current interval
+	shares      []float64 // active nodes' routing weights as prefix sums (setShares)
 	shareSum    float64
+	lastPos     int       // last index with a positive routing weight
+	stealTree   stealTree // nil unless stealing is on and this loop runs events
 
 	// Per-interval scratch. dropped and timedOut are cumulative over
 	// the run; the rest reset at every boundary.
@@ -761,6 +764,8 @@ func New(opts Options) (*Fleet, error) {
 	f.shares = make([]float64, len(f.nodes))
 	if opts.Domains >= 1 {
 		f.sh = newSharded(f, opts.Domains)
+	} else if f.stealing {
+		f.stealTree = newStealTree(f.nodes)
 	}
 	return f, nil
 }
@@ -1008,6 +1013,7 @@ func (l *loop) dispatch(n *desNode, id int32, t float64) bool {
 		return false
 	}
 	n.queue.Push(id)
+	l.touch(n)
 	l.reqs[id].refs++
 	return true
 }
@@ -1016,38 +1022,19 @@ func (l *loop) dispatch(n *desNode, id int32, t float64) bool {
 // discarding entries whose request already completed elsewhere (a won
 // hedge race or a steal). Returns -1 on an empty queue.
 func (l *loop) popLocal(n *desNode) int32 {
-	for n.queue.Len() > 0 {
+	if n.queue.Len() == 0 {
+		return -1
+	}
+	live := int32(-1)
+	for live < 0 && n.queue.Len() > 0 {
 		id := n.queue.Pop()
 		l.release(id)
 		if !l.reqs[id].done {
-			return id
+			live = id
 		}
 	}
-	return -1
-}
-
-// steal pulls the oldest request from the deepest queue in the loop's
-// active set (at least minDepth deep), -1 when nothing is worth
-// stealing. Warming victims are fair game — their queue is exactly the
-// transient stealing exists to drain. Mid-interval steals stay inside
-// the loop's own domain; cross-domain steals happen only at interval
-// boundaries, through the coordinator.
-func (l *loop) steal(thief *desNode) int32 {
-	best := -1
-	depth := l.minDepth - 1
-	for _, v := range l.nodes[:l.active] {
-		if v == thief || v.down || v.draining || !l.sameSide(v.id, thief.id) {
-			continue
-		}
-		if v.queue.Len() > depth {
-			depth = v.queue.Len()
-			best = v.id
-		}
-	}
-	if best < 0 {
-		return -1
-	}
-	return l.popLocal(l.node(int32(best)))
+	l.touch(n)
+	return live
 }
 
 // pullWork hands server s of node n its next request after a
@@ -1107,24 +1094,43 @@ func (l *loop) kickIdle(n *desNode, t float64) {
 // new work; callers with servingN > 0 always get a node.
 func (l *loop) routeDraw() *desNode {
 	if l.shareSum > 0 {
-		u := l.routeRNG.Float64() * l.shareSum
-		acc := 0.0
-		last := -1
-		for i := 0; i < l.active; i++ {
-			if l.shares[i] <= 0 {
-				continue
-			}
-			last = i
-			acc += l.shares[i]
-			if u < acc {
-				return l.nodes[i]
-			}
-		}
-		if last >= 0 {
-			return l.nodes[last]
-		}
+		return l.nodes[l.pick(l.routeRNG.Float64()*l.shareSum)]
 	}
 	return l.fallbackNode(int(l.retryRNG.Int63n(int64(l.active))))
+}
+
+// pick returns the active node a routing draw u in [0, shareSum]
+// selects: the first whose prefix sum exceeds u — a zero-weight node
+// never qualifies, since its prefix equals its predecessor's — or, when
+// rounding carries u up to shareSum, the last positive-weight node.
+func (l *loop) pick(u float64) int {
+	cum := l.shares[:l.active]
+	if i := sort.Search(len(cum), func(i int) bool { return u < cum[i] }); i < len(cum) {
+		return i
+	}
+	return l.lastPos
+}
+
+// setShares loads the loop's routing weights from the fleet-wide
+// splitter output (indexed by global id), zeroing down and draining
+// nodes, as running prefix sums accumulated in roster order. Adding a
+// zero weight is exact, so every prefix is bit-identical to the running
+// total of a walk over the positive weights alone.
+func (l *loop) setShares(shares []float64) {
+	acc := 0.0
+	l.lastPos = -1
+	for i, v := range l.nodes[:l.active] {
+		s := shares[l.lo+i]
+		if v.down || v.draining {
+			s = 0
+		}
+		if s > 0 {
+			l.lastPos = i
+		}
+		acc += s
+		l.shares[i] = acc
+	}
+	l.shareSum = acc
 }
 
 // fallbackNode walks the active prefix round-robin from slot k to the
@@ -1565,21 +1571,14 @@ func (f *Fleet) refreshInterval(t float64) error {
 		return fmt.Errorf("clusterdes: splitter %q returned %d shares for %d active nodes",
 			f.splitter.Name(), len(shares), f.active)
 	}
-	f.shareSum = 0
 	for i, s := range shares {
 		if s < 0 {
 			return fmt.Errorf("clusterdes: splitter %q returned negative share %v for node %d",
 				f.splitter.Name(), s, i)
 		}
-		// A down or draining node takes no new primaries regardless of
-		// what the splitter assigned it; its share redistributes
-		// implicitly through routeDraw's positive-share walk.
-		if v := f.nodes[i]; v.down || v.draining {
-			s = 0
-		}
-		f.shares[i] = s
-		f.shareSum += s
 	}
+	// Down and draining nodes take no new primaries, whatever their share.
+	f.setShares(shares)
 	return nil
 }
 

@@ -82,6 +82,7 @@ func (f *Fleet) faultStep(t float64) error {
 			// finish what is already in flight, accept nothing new.
 			n := f.nodes[ev.Node]
 			n.draining = true
+			f.loopOf(ev.Node).touch(n)
 			f.stats.Revocations++
 			f.drainQueueAny(n, t, false)
 		case faults.SlowStart:
@@ -139,6 +140,7 @@ func (f *Fleet) reviveNode(id int) error {
 	n := f.nodes[id]
 	n.down = false
 	n.draining = false
+	f.loopOf(id).touch(n)
 	if f.fed != nil && id < f.active && f.sameSide(id, 0) {
 		var bc federation.Broadcast
 		warmed, err := f.fed.WarmStart(id, f.clock.Steps(), &bc)
@@ -182,6 +184,7 @@ func (f *Fleet) loseNode(l *loop, n *desNode, t float64) {
 	for n.queue.Len() > 0 {
 		f.discardCopy(l, n, n.queue.Pop(), t)
 	}
+	l.touch(n)
 }
 
 // discardCopy destroys one copy of request id held by crashed node n,

@@ -55,10 +55,6 @@ type sharded struct {
 	coordDropped  int
 	coordLost     int
 	crossScratch  []crossEvent
-
-	// stealCands is the boundary sweep's max-heap of steal victims,
-	// rebuilt each tick; see boundaryKick.
-	stealCands []stealCand
 }
 
 func newSharded(f *Fleet, dcount int) *sharded {
@@ -90,6 +86,9 @@ func newSharded(f *Fleet, dcount int) *sharded {
 			retryRNG:    sim.SubRNG(f.opts.Seed+int64(k), "des-retry"),
 			lat:         latRecorder{stride: 1},
 			shares:      make([]float64, hi-lo),
+		}
+		if f.stealing {
+			l.stealTree = newStealTree(l.nodes)
 		}
 		for i := lo; i < hi; i++ {
 			s.domOf[i] = int32(k)
@@ -467,35 +466,8 @@ func (l *loop) finishHedgeRef(id int32) {
 // sweep, with the steal scope widened back to the whole fleet: an idle
 // node may rescue a drowning peer in another domain, which is the only
 // moment steals cross a domain boundary.
-//
-// The serial loop rescans the whole roster for the deepest queue on
-// every pull; at a few hundred nodes that scan dominates the boundary.
-// Queues only shrink while the sweep runs (arrivals are mid-interval,
-// hedge placement happened before the kick), so the victim choice can
-// come from a max-heap of queue depths built once per boundary and
-// lazily refreshed — the same argmax the scan computes, in O(log n)
-// per steal.
 func (s *sharded) boundaryKick(t float64) {
 	f := s.f
-	// Under a partition the heap cannot encode sides, so thieves fall
-	// back to a per-pull linear scan (stealBestFor); the heap stays
-	// empty and its refresh calls become no-ops.
-	s.stealCands = s.stealCands[:0]
-	if f.stealing && f.loop.partCut == 0 {
-		for _, v := range f.nodes[:f.active] {
-			// Down nodes have empty queues; draining ones are excluded
-			// as victims, matching the serial steal filter.
-			if v.draining {
-				continue
-			}
-			if v.queue.Len() >= f.minDepth {
-				s.stealCands = append(s.stealCands, stealCand{depth: v.queue.Len(), id: v.id})
-			}
-		}
-		for i := len(s.stealCands)/2 - 1; i >= 0; i-- {
-			s.stealSiftDown(i)
-		}
-	}
 	for _, n := range f.nodes[:f.active] {
 		if n.down {
 			continue
@@ -506,104 +478,16 @@ func (s *sharded) boundaryKick(t float64) {
 	}
 }
 
-// stealBestFor is the partition-aware victim scan: the serial steal's
-// linear argmax over the whole active roster, restricted to the
-// thief's side. Only used while a partition is active.
-func (s *sharded) stealBestFor(n *desNode) int {
-	f := s.f
-	best, depth := -1, f.minDepth-1
-	for _, v := range f.nodes[:f.active] {
-		if v == n || v.down || v.draining || !f.sameSide(v.id, n.id) {
-			continue
-		}
-		if v.queue.Len() > depth {
-			depth = v.queue.Len()
-			best = v.id
-		}
+// victim is loop.victim over the whole fleet: every domain's tree is
+// queried on the thief's partition side, and the keys — which carry
+// global ids — combine under the same deepest-queue, lowest-id rule.
+func (s *sharded) victim(thief *desNode) int64 {
+	lo, hi := s.domains[0].side(thief.id)
+	best := noVictim
+	for _, l := range s.domains {
+		best = max(best, l.victim(lo, hi, thief.id))
 	}
 	return best
-}
-
-// stealCand is one boundary steal candidate: a node and the queue
-// depth recorded for it. Recorded depths are upper bounds — stealBest
-// refreshes them against the live queue before trusting the top.
-type stealCand struct {
-	depth, id int
-}
-
-// stealRank reports whether candidate i outranks candidate j: deeper
-// queue first, then smaller node id — exactly the strict-> scan order
-// of the serial loop's steal, so ties resolve to the same victim.
-func (s *sharded) stealRank(i, j int) bool {
-	a, b := s.stealCands[i], s.stealCands[j]
-	return a.depth > b.depth || (a.depth == b.depth && a.id < b.id)
-}
-
-func (s *sharded) stealSiftDown(i int) {
-	for {
-		left, right := 2*i+1, 2*i+2
-		best := i
-		if left < len(s.stealCands) && s.stealRank(left, best) {
-			best = left
-		}
-		if right < len(s.stealCands) && s.stealRank(right, best) {
-			best = right
-		}
-		if best == i {
-			return
-		}
-		s.stealCands[best], s.stealCands[i] = s.stealCands[i], s.stealCands[best]
-		i = best
-	}
-}
-
-func (s *sharded) stealPopTop() {
-	last := len(s.stealCands) - 1
-	s.stealCands[0] = s.stealCands[last]
-	s.stealCands = s.stealCands[:last]
-	if last > 0 {
-		s.stealSiftDown(0)
-	}
-}
-
-// stealBest returns the node the serial scan would steal from — the
-// deepest queue of at least minDepth, smallest id on ties — or -1.
-// The winning entry stays at the heap root; the caller must call
-// stealRefreshTop after mutating that node's queue.
-func (s *sharded) stealBest() int {
-	f := s.f
-	for len(s.stealCands) > 0 {
-		top := &s.stealCands[0]
-		cur := f.nodes[top.id].queue.Len()
-		if cur == top.depth {
-			return top.id
-		}
-		if cur >= f.minDepth {
-			// Stale depth: refresh in place. A root whose key only
-			// changed keeps the heap valid after one sift-down.
-			top.depth = cur
-			s.stealSiftDown(0)
-		} else {
-			s.stealPopTop()
-		}
-	}
-	return -1
-}
-
-// stealRefreshTop re-keys the root candidate from its live queue after
-// a steal attempt, dropping it once it is too shallow to rob.
-func (s *sharded) stealRefreshTop() {
-	if len(s.stealCands) == 0 {
-		return
-	}
-	top := &s.stealCands[0]
-	cur := s.f.nodes[top.id].queue.Len()
-	if cur >= s.f.minDepth {
-		top.depth = cur
-		s.stealSiftDown(0)
-	} else {
-		s.stealPopTop()
-	}
 }
 
 func (s *sharded) kickIdleFleet(n *desNode, t float64) {
@@ -619,7 +503,7 @@ func (s *sharded) kickIdleFleet(n *desNode, t float64) {
 	}
 }
 
-// pullWorkFleet is loop.pullWork with the steal scan ranging over the
+// pullWorkFleet is loop.pullWork with the steal victim chosen from the
 // whole active roster. A cross-domain steal moves the request between
 // request tables: stolen requests go straight to service, so the
 // victim's entry is unreferenced and retires as the thief's domain
@@ -636,23 +520,14 @@ func (s *sharded) pullWorkFleet(l *loop, n *desNode, sv int, t float64) {
 			return
 		}
 		if l.stealing && n.warmLeft == 0 && !n.draining {
-			// The thief never appears among the candidates: its local
-			// queue just drained (popLocal above returned -1) and
-			// minDepth >= 1, matching the serial scan's self-exclusion.
-			best := -1
-			if f.loop.partCut != 0 {
-				best = s.stealBestFor(n)
-			} else {
-				best = s.stealBest()
-			}
-			if best >= 0 {
-				vl := s.domainOf(best)
-				if id := vl.popLocal(f.nodes[best]); id >= 0 {
+			if k := s.victim(n); k != noVictim {
+				v := f.nodes[keyID(k)]
+				vl := s.domainOf(v.id)
+				if id := vl.popLocal(v); id >= 0 {
 					if vl == l {
 						l.steals++
 						// Track the copy to the thief (see pullWork).
 						vl.reqs[id].node = int32(n.id)
-						s.stealRefreshTop()
 						l.startService(n, sv, id, t)
 						return
 					}
@@ -664,7 +539,6 @@ func (s *sharded) pullWorkFleet(l *loop, n *desNode, sv int, t float64) {
 						vl.free = append(vl.free, id)
 						l.steals++
 						f.stats.CrossDomainSteals++
-						s.stealRefreshTop()
 						l.startService(n, sv, nid, t)
 						return
 					}
@@ -673,10 +547,10 @@ func (s *sharded) pullWorkFleet(l *loop, n *desNode, sv int, t float64) {
 					// put the entry back rather than lose it. Without
 					// resilience this is unreachable — extra references
 					// come only from hedging, which excludes stealing.
-					f.nodes[best].queue.Push(id)
+					v.queue.Push(id)
+					vl.touch(v)
 					r.refs++
 				}
-				s.stealRefreshTop()
 			}
 		}
 	}
@@ -991,15 +865,7 @@ func (s *sharded) refreshInterval(t float64) error {
 			l.nextArrival = math.Inf(1)
 			continue
 		}
-		l.shareSum = 0
-		for i := 0; i < l.active; i++ {
-			sh := shares[l.lo+i]
-			if v := l.nodes[i]; v.down || v.draining {
-				sh = 0
-			}
-			l.shares[i] = sh
-			l.shareSum += sh
-		}
+		l.setShares(shares)
 		switch {
 		case fleetSum > 0:
 			// For a single domain shareSum == fleetSum, so the ratio is
