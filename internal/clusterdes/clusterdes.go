@@ -18,7 +18,7 @@
 // hedging and stealing decisions happen at deterministic points of one
 // totally ordered event sequence — so a run is a pure function of its
 // seed. Workers only parallelise the per-node interval summaries
-// (sorting sojourns, power evaluation) at interval boundaries, where
+// (tail selection, power evaluation) at interval boundaries, where
 // each node's summary is an independent pure computation writing its
 // own slot; results are therefore bit-identical at any worker count,
 // the same two invariants the interval-mode cluster guarantees.
@@ -294,7 +294,7 @@ type Result struct {
 func (r Result) Summarize() telemetry.FleetSummary { return r.Fleet.Summarize() }
 
 // Event kinds of the fleet event loop. Fleet arrivals and interval
-// ticks are not heap events — each is a single strictly increasing
+// ticks are not queued events — each is a single strictly increasing
 // scalar next-time, merged into the loop by comparison.
 const (
 	evCompletion = iota // node a, server b, service sequence c
@@ -441,7 +441,7 @@ type latRecorder struct {
 }
 
 // loop is one routing domain's event loop: the request table, event
-// heap, RNG streams, arrival process and per-interval counters for a
+// queue, RNG streams, arrival process and per-interval counters for a
 // contiguous slice of the roster. The serial Fleet embeds a single
 // loop spanning the whole roster (lo = 0, rosterActive = active); a
 // sharded run builds one loop per domain and steps them in parallel,
@@ -495,7 +495,7 @@ type loop struct {
 	svcRNG   *rand.Rand
 	retryRNG *rand.Rand // backoff jitter; its own stream so retries do not shift the others
 
-	events queueing.TimeHeap[event]
+	events eventQueue
 	reqs   []request
 	free   []int32
 
@@ -627,6 +627,7 @@ func New(opts Options) (*Fleet, error) {
 		loop: loop{
 			hedgeWait:   math.Inf(1),
 			suspectWait: math.Inf(1),
+			events:      newEventQueue(),
 			lat:         latRecorder{stride: 1},
 		},
 		opts:     opts,
@@ -1499,7 +1500,7 @@ func (lr *latRecorder) record(soj float64) {
 	}
 }
 
-// runInterval drains the loop's event heap and arrival process up to
+// runInterval drains the loop's event queue and arrival process up to
 // the interval boundary tTick, in event-time order. This is the whole
 // of a domain's work between two boundaries: it reads and writes only
 // the loop's own state, which is what lets a sharded run step every
@@ -1617,8 +1618,7 @@ func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
 	}
 	tail := 0.0
 	if len(n.sojourns) > 0 {
-		stats.SortFloats(n.sojourns)
-		tail, _ = stats.PercentileSorted(n.sojourns, n.wl.QoSPercentile)
+		tail, _ = stats.SelectPercentile(n.sojourns, n.wl.QoSPercentile)
 	} else if n.queue.Len() > 0 || n.busyCount > 0 {
 		// Work in flight but nothing completed: the load generator
 		// observes timeouts, not silence — report the tail cap so a
@@ -1707,9 +1707,10 @@ func (n *desNode) finishInterval(t, dt float64) telemetry.Sample {
 // workers allow. Each node writes only its own slot and its own state,
 // so results are independent of the worker count. Goroutines are
 // spawned per tick rather than held in a persistent pool (the cluster
-// layer's design): a DES interval summary sorts a few thousand floats
-// per node, a fraction of the serial event loop's cost, so pool
-// lifecycle machinery would buy nothing measurable here.
+// layer's design): a DES interval summary selects one percentile from
+// the node's interval sojourns and evaluates its power, a fraction of
+// the serial event loop's cost, so pool lifecycle machinery would buy
+// nothing measurable here.
 func (f *Fleet) summarize(t float64) {
 	act := f.nodes[:f.active]
 	if f.workers <= 1 || len(act) <= 1 {
@@ -1943,11 +1944,10 @@ func (f *Fleet) tick() error {
 	f.retries, f.timeouts, f.rateLimited, f.hedgeCancels = 0, 0, 0, 0
 
 	// Hedge delay for the next interval: the configured quantile of the
-	// interval that just ended (carried forward through empty intervals).
+	// interval that just ended (carried forward through empty intervals),
+	// selected in place since the buffer is reset next.
 	if f.hedging && len(f.intervalSojourns) > 0 {
-		f.sortScratch = append(f.sortScratch[:0], f.intervalSojourns...)
-		stats.SortFloats(f.sortScratch)
-		if q, err := stats.PercentileSorted(f.sortScratch, f.hedgeQ); err == nil {
+		if q, err := stats.SelectPercentile(f.intervalSojourns, f.hedgeQ); err == nil {
 			f.hedgeWait = q
 		}
 	}
@@ -2068,13 +2068,22 @@ func (f *Fleet) result() Result {
 	res.Stats.Lost = f.lost
 	if len(f.lat.sample) > 0 {
 		res.Latency.Mean = f.lat.sum / float64(f.lat.seen)
-		stats.SortFloats(f.lat.sample)
-		res.Latency.P50, _ = stats.PercentileSorted(f.lat.sample, 0.50)
-		res.Latency.P90, _ = stats.PercentileSorted(f.lat.sample, 0.90)
-		res.Latency.P95, _ = stats.PercentileSorted(f.lat.sample, 0.95)
-		res.Latency.P99, _ = stats.PercentileSorted(f.lat.sample, 0.99)
+		// Select on a copy: the sample keeps its completion order, which
+		// a later decimation in a resumed Run depends on.
+		sample := append([]float64(nil), f.lat.sample...)
+		res.Latency.P50, res.Latency.P90, res.Latency.P95, res.Latency.P99 = latencyPercentiles(sample)
 	}
 	return res
+}
+
+// latencyPercentiles selects a run's reported latency percentiles from
+// its sample, permuting it.
+func latencyPercentiles(sample []float64) (p50, p90, p95, p99 float64) {
+	p50, _ = stats.SelectPercentile(sample, 0.50)
+	p90, _ = stats.SelectPercentile(sample, 0.90)
+	p95, _ = stats.SelectPercentile(sample, 0.95)
+	p99, _ = stats.SelectPercentile(sample, 0.99)
+	return p50, p90, p95, p99
 }
 
 // Uniform builds n identical node definitions over one spec and

@@ -347,8 +347,7 @@ func (f *Fleet) detectStep(t float64) {
 	}
 	med := 0.0
 	if len(f.sortScratch) > 0 {
-		stats.SortFloats(f.sortScratch)
-		med, _ = stats.PercentileSorted(f.sortScratch, 0.5)
+		med, _ = stats.SelectPercentile(f.sortScratch, 0.5)
 	}
 	for _, n := range f.nodes[:f.active] {
 		e := f.predEwma[n.id]

@@ -76,6 +76,7 @@ func newSharded(f *Fleet, dcount int) *sharded {
 			minDepth:    f.minDepth,
 			hedgeWait:   math.Inf(1),
 			suspectWait: math.Inf(1),
+			events:      newEventQueue(),
 			suspect:     f.suspect,
 			deferCross:  len(starts) > 2,
 			resil:       f.resil,
@@ -219,8 +220,7 @@ func (s *sharded) tick(tEnd float64) error {
 		}
 		f.sortScratch = append(f.sortScratch, s.coordSojourns...)
 		if len(f.sortScratch) > 0 {
-			stats.SortFloats(f.sortScratch)
-			if q, err := stats.PercentileSorted(f.sortScratch, f.hedgeQ); err == nil {
+			if q, err := stats.SelectPercentile(f.sortScratch, f.hedgeQ); err == nil {
 				for _, l := range s.domains {
 					l.hedgeWait = q
 				}
@@ -423,9 +423,11 @@ func (s *sharded) placeHedges(t float64) {
 			}
 			nid := tl.alloc(r.arrival, int32(target.id))
 			if !tl.dispatch(target, nid, t) {
-				// Target queue full: no copy placed. hedgeNode stays set
-				// (it names a node outside this domain, so it can never
-				// claim a win) and the primary copy carries the request.
+				// Target queue full: no copy placed, and the primary copy
+				// carries the request. hedgeVoid, not the target's id:
+				// expiry and hedge cancellation index this domain's nodes
+				// by hedgeNode.
+				r.hedgeNode = hedgeVoid
 				tl.reqs[nid].done = true
 				tl.free = append(tl.free, nid)
 				l.finishHedgeRef(id)
@@ -927,11 +929,7 @@ func (s *sharded) result() Result {
 	res.Stats.Lost = lost
 	if len(sample) > 0 {
 		res.Latency.Mean = sum / float64(seen)
-		stats.SortFloats(sample)
-		res.Latency.P50, _ = stats.PercentileSorted(sample, 0.50)
-		res.Latency.P90, _ = stats.PercentileSorted(sample, 0.90)
-		res.Latency.P95, _ = stats.PercentileSorted(sample, 0.95)
-		res.Latency.P99, _ = stats.PercentileSorted(sample, 0.99)
+		res.Latency.P50, res.Latency.P90, res.Latency.P95, res.Latency.P99 = latencyPercentiles(sample)
 	}
 	return res
 }

@@ -6,9 +6,11 @@ import (
 	"hipster/internal/autoscale"
 	"hipster/internal/cluster"
 	"hipster/internal/clusterdes"
+	"hipster/internal/faults"
 	"hipster/internal/fleettest"
 	"hipster/internal/loadgen"
 	"hipster/internal/platform"
+	"hipster/internal/resilience"
 	"hipster/internal/workload"
 )
 
@@ -204,4 +206,57 @@ func TestCrossDomainMigration(t *testing.T) {
 			res.Stats.CrossDomainMigrations, res.Stats.Migrated)
 	}
 	assertConserved(t, res)
+}
+
+// TestExpireAfterFailedCrossHedge covers a hedge whose cross-domain
+// copy could not be placed (the target queue was full): its deadline
+// expiry and hedge cancellation must not index this domain's nodes by
+// the other domain's node id. Each case once panicked in loop.expire.
+func TestExpireAfterFailedCrossHedge(t *testing.T) {
+	crash := func() *faults.Options { return &faults.Options{CrashRate: 0.03, DownIntervals: 4} }
+	scale := func() *clusterdes.AutoscaleOptions {
+		return &clusterdes.AutoscaleOptions{
+			MinNodes: 2, InitialNodes: 4, Policy: autoscale.QueueDepth{},
+			WarmupIntervals: 2, WarmupFactor: 0.5,
+			CooldownIntervals: 2, DownAfterIntervals: 2,
+		}
+	}
+	cases := []struct {
+		name    string
+		mit     clusterdes.Mitigation
+		fo      *faults.Options
+		as      *clusterdes.AutoscaleOptions
+		domains int
+		seed    int64
+	}{
+		{"hedged-crash-autoscale", clusterdes.Hedged{}, crash(), scale(), 2, 1},
+		{"hedged-all-faults", clusterdes.Hedged{},
+			&faults.Options{CrashRate: 0.02, SlowRate: 0.03, PartitionRate: 0.03, SpotFraction: 0.3}, nil, 3, 7},
+		{"predictive-crash-autoscale", clusterdes.Predictive{}, crash(), scale(), 2, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			nodes, err := clusterdes.Uniform(8, platform.JunoR1(), workload.WebSearch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl, err := clusterdes.New(clusterdes.Options{
+				Nodes:      nodes,
+				Pattern:    loadgen.Spike{Base: 0.2, Peak: 1.2, EverySecs: 15, SpikeSecs: 5},
+				Mitigation: c.mit,
+				Workers:    1,
+				Domains:    c.domains,
+				Seed:       c.seed,
+				Autoscale:  c.as,
+				Faults:     c.fo,
+				Resilience: &resilience.Options{MaxRetries: 2, Timeout: 1.5, Breaker: &resilience.BreakerOptions{}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fl.Run(60); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }

@@ -119,6 +119,15 @@ func (r *Ring[T]) Pop() T {
 	return v
 }
 
+// Peek returns the oldest element without removing it. Peek on an
+// empty ring panics.
+func (r *Ring[T]) Peek() T {
+	if r.n == 0 {
+		panic("queueing: Peek on empty ring")
+	}
+	return r.buf[r.head]
+}
+
 // grow doubles the storage, linearizing the live window so the
 // power-of-two masking stays valid.
 func (r *Ring[T]) grow() {

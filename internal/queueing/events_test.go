@@ -68,8 +68,8 @@ func TestTimeHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestRingFIFO drives the ring against a plain slice queue across
-// growth boundaries.
+// TestRingFIFO drives the ring's Push, Peek and Pop against a plain
+// slice queue across growth boundaries.
 func TestRingFIFO(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var r Ring[int]
@@ -79,6 +79,9 @@ func TestRingFIFO(t *testing.T) {
 			r.Push(op)
 			ref = append(ref, op)
 			continue
+		}
+		if p := r.Peek(); p != ref[0] {
+			t.Fatalf("op %d: Peek = %d, want %d", op, p, ref[0])
 		}
 		got := r.Pop()
 		want := ref[0]

@@ -13,13 +13,12 @@ const radixSortMin = 512
 
 // SortFloats sorts x ascending, exactly as sort.Float64s would for
 // finite inputs, but in O(n) via an LSD radix sort on the order-
-// preserving integer encoding of float64. The DES latency pipelines
-// sort hundreds of thousands of sojourn samples per run (end-of-run
-// percentiles, per-interval hedge-delay quantiles); at those sizes the
-// radix sort is several times faster than the comparison sort. Inputs
-// must not contain NaN (sort.Float64s's NaN ordering is not
-// reproduced); ±0 are ordered sign-first, which no comparison can
-// observe.
+// preserving integer encoding of float64. It defines the order
+// SelectPercentile reproduces and finishes ranges that quickselect
+// partitions badly; on large samples the radix sort is several times
+// faster than the comparison sort. Inputs must not contain NaN
+// (sort.Float64s's NaN ordering is not reproduced); from radixSortMin
+// up, ±0 are ordered sign-first, which no comparison can observe.
 func SortFloats(x []float64) {
 	n := len(x)
 	if n < 32 {
